@@ -8,13 +8,11 @@
 //! schedule — the experiment is a determinism check as much as a
 //! survival-rate one.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
 use presto_cluster::{ClusterConfig, PrestoCluster, SpeculationConfig};
-use presto_common::metrics::names;
+use presto_common::metrics::{names, Fnv};
 use presto_common::{Block, DataType, FaultInjector, FaultPlan, Field, Page, Schema, SimClock};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
@@ -136,15 +134,15 @@ pub fn run(config: &ChaosConfig) -> ChaosResult {
     let session = Session::default();
     let start = clock.now();
     let mut succeeded = 0;
-    let mut digest = DefaultHasher::new();
-    let mut trace_digest = DefaultHasher::new();
+    let mut digest = Fnv::new();
+    let mut trace_digest = Fnv::new();
     for _ in 0..config.queries {
         if let Ok(result) = cluster.execute("SELECT sum(x), count(*) FROM t", &session) {
             succeeded += 1;
-            format!("{:?}", result.rows()).hash(&mut digest);
+            presto_exec::kernels::fold_rows(&result.pages, &mut digest);
             // Only successful queries fold in: a doomed query's cancel flag
             // races sibling workers, so its span count is timing-dependent.
-            result.info.trace.digest().hash(&mut trace_digest);
+            trace_digest.write(result.info.trace.digest());
         }
     }
     let virtual_ms = (clock.now() - start).as_millis() as u64;
@@ -254,13 +252,13 @@ pub fn run_straggler(config: &StragglerConfig) -> StragglerResult {
     let session = Session::default();
     let start = clock.now();
     let mut succeeded = 0;
-    let mut digest = DefaultHasher::new();
-    let mut trace_digest = DefaultHasher::new();
+    let mut digest = Fnv::new();
+    let mut trace_digest = Fnv::new();
     for _ in 0..config.queries {
         if let Ok(result) = cluster.execute("SELECT sum(x), count(*) FROM t", &session) {
             succeeded += 1;
-            format!("{:?}", result.rows()).hash(&mut digest);
-            result.info.trace.digest().hash(&mut trace_digest);
+            presto_exec::kernels::fold_rows(&result.pages, &mut digest);
+            trace_digest.write(result.info.trace.digest());
         }
     }
     let latency = cluster.histograms().get(names::HIST_CLUSTER_QUERY_LATENCY_US);

@@ -619,7 +619,12 @@ impl Fnv {
 
     /// Fold a string's bytes.
     pub fn write_str(&mut self, s: &str) {
-        for &b in s.as_bytes() {
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// Fold raw bytes.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }

@@ -308,18 +308,12 @@ impl Trace {
     ///
     /// Same seed ⇒ same spans ⇒ same digest, independent of thread timing.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
+        let mut hash = crate::metrics::Fnv::new();
         for line in self.canonical_lines() {
-            for byte in line.as_bytes() {
-                hash ^= u64::from(*byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            hash ^= u64::from(b'\n');
-            hash = hash.wrapping_mul(FNV_PRIME);
+            hash.write_str(&line);
+            hash.write_bytes(b"\n");
         }
-        hash
+        hash.finish()
     }
 
     /// Human-readable indented rendering of the span tree.

@@ -433,6 +433,7 @@ impl Connector for HiveConnector {
                 dictionary_pushdown: config.dictionary_pushdown,
                 lazy_reads: config.lazy_reads,
                 vectorized: config.vectorized,
+                limit: request.limit,
             };
             let (pages, stats) = reader_new::read(&source, &def.file_schema, &options)?;
             self.metrics.add(names::HIVE_LEAVES_DECODED, stats.leaves_decoded as u64);

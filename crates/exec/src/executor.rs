@@ -8,19 +8,19 @@
 //! Grace-style partitioned spilling when a reservation fails instead of
 //! surfacing `"Insufficient Resource"`.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::cmp::Ordering;
 use std::time::Duration;
 
 use presto_common::metrics::names;
 use presto_common::trace::{SpanId, SpanKind};
-use presto_common::{Block, Page, PrestoError, Result, Value};
-use presto_expr::{Accumulator, AggregateFunction, RowExpression};
+use presto_common::{Block, DataType, Page, PrestoError, Result, Schema, Value};
+use presto_expr::{AggregateFunction, RowExpression};
 use presto_geo::index::GeofenceIndex;
 use presto_plan::logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
 use presto_resource::{ReservationKind, SpillFile};
 
 use crate::context::ExecutionContext;
+use crate::kernels::{self, Accumulators, AggInput, GroupTable, KeyColumn, RowKeys, NO_GROUP};
 
 /// Fan-out of Grace partitioning when an operator spills.
 const SPILL_PARTITIONS: usize = 8;
@@ -109,6 +109,11 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
             let mut scanned = 0u64;
             let hooks = presto_connectors::ScanHooks::none();
             for split in &splits {
+                // A pushed LIMIT is exact over exact predicates: once enough
+                // rows are held, the remaining splits cannot change the answer.
+                if request.limit.is_some_and(|limit| scanned >= limit as u64) {
+                    break;
+                }
                 for page in connector.scan_split(split, request, &hooks)? {
                     scanned += page.positions() as u64;
                     if !page.is_empty() {
@@ -175,20 +180,9 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
         LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
             execute_geo_join(probe, fences, probe_lng, probe_lat, fence_shape, ctx, span)
         }
-        LogicalPlan::Sort { input, keys } => {
-            let (page, indices) = sorted_indices(input, keys, ctx, span)?;
-            Ok(match page {
-                Some(p) => vec![p.take(&indices)],
-                None => Vec::new(),
-            })
-        }
+        LogicalPlan::Sort { input, keys } => execute_sort(input, keys, None, ctx, span),
         LogicalPlan::TopN { input, keys, count } => {
-            let (page, mut indices) = sorted_indices(input, keys, ctx, span)?;
-            indices.truncate(*count);
-            Ok(match page {
-                Some(p) => vec![p.take(&indices)],
-                None => Vec::new(),
-            })
+            execute_sort(input, keys, Some(*count), ctx, span)
         }
         LogicalPlan::Limit { input, count } => {
             let pages = execute_traced(input, ctx, Some(span))?;
@@ -233,35 +227,78 @@ fn execute_aggregate(
     span: SpanId,
 ) -> Result<Vec<Page>> {
     let pages = execute_traced(input, ctx, Some(span))?;
-    let rows = match aggregate_rows(&pages, group_by, aggregates, step, ctx) {
-        Ok(rows) => rows,
+    let schema = plan.output_schema()?;
+    let page = match aggregate_pages(&pages, group_by, aggregates, step, &schema, ctx) {
+        Ok(page) => page,
         // Grace fallback needs equi keys to partition on and columns to
         // spill; a global aggregate's state is one row and never spills.
         Err(e) if is_insufficient(&e) && ctx.spill.is_some() && !group_by.is_empty() => {
             match spillable_schema(input) {
-                Some(schema) => spill_aggregate(&pages, &schema, group_by, aggregates, step, ctx)?,
+                Some(input_schema) => spill_aggregate(
+                    &pages,
+                    &input_schema,
+                    group_by,
+                    aggregates,
+                    step,
+                    &schema,
+                    ctx,
+                )?,
                 None => return Err(e),
             }
         }
         Err(e) => return Err(e),
     };
-    emit_aggregate_rows(rows, plan)
+    Ok(vec![page])
 }
 
-/// In-memory hash aggregation over `pages`, returning one unsorted row per
-/// group. The hash table is accounted through an RAII reservation that
-/// grows as groups appear and releases when the rows are handed back.
-fn aggregate_rows(
+/// What aggregate `agg` reads from a page whose argument evaluated to `arg`.
+fn aggregate_input<'a>(
+    agg: &AggregateExpr,
+    arg: Option<&'a Block>,
+    step: AggregateStep,
+) -> Result<AggInput<'a>> {
+    Ok(match (step, arg) {
+        (AggregateStep::Single, None) => AggInput::Rows,
+        (AggregateStep::Single, Some(block)) => AggInput::Values(KeyColumn::new(block)),
+        // Fig 2: merge connector-produced partials — counts sum, sums sum,
+        // min/max re-compare.
+        (AggregateStep::FinalOverPartial, Some(block)) => match agg.function {
+            AggregateFunction::Count | AggregateFunction::CountStar => {
+                AggInput::PartialCounts(KeyColumn::new(block))
+            }
+            _ => AggInput::Values(KeyColumn::new(block)),
+        },
+        (AggregateStep::FinalOverPartial, None) => {
+            return Err(PrestoError::Internal("final aggregation needs partial columns".into()))
+        }
+    })
+}
+
+/// In-memory hash aggregation over `pages`: one output row per group,
+/// sorted by the group keys. Group ids come from a [`GroupTable`] and the
+/// aggregates update typed [`Accumulators`]; the table is accounted
+/// through an RAII reservation that grows as groups appear and releases
+/// when the page is handed back.
+fn aggregate_pages(
     pages: &[Page],
     group_by: &[RowExpression],
     aggregates: &[AggregateExpr],
     step: AggregateStep,
+    schema: &Schema,
     ctx: &ExecutionContext,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Page> {
     let mut table_memory = ctx.pool.reserve(0, ctx.operator_reservation_kind())?;
-    let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-    let mut reserved = 0usize;
-
+    let per_group = 64 + aggregates.len() * 48;
+    let functions: Vec<AggregateFunction> = aggregates.iter().map(|a| a.function).collect();
+    let mut accumulators = Accumulators::new(&functions);
+    let mut table = GroupTable::new();
+    let global = group_by.is_empty();
+    if global {
+        // Global aggregation over zero rows still yields one output row.
+        accumulators.resize(1);
+    }
+    let mut ids = Vec::new();
+    let mut global_seen = false;
     for page in pages {
         // vectorized: evaluate keys and arguments once per page
         let key_blocks =
@@ -270,74 +307,56 @@ fn aggregate_rows(
             .iter()
             .map(|a| a.argument.as_ref().map(|e| ctx.evaluator.evaluate(e, page)).transpose())
             .collect::<Result<Vec<_>>>()?;
-        for i in 0..page.positions() {
-            let key: Vec<Value> = key_blocks.iter().map(|b| b.value(i)).collect();
-            let accs = groups.entry(key).or_insert_with(|| {
-                reserved += 64 + aggregates.len() * 48;
-                aggregates.iter().map(|a| a.function.new_accumulator()).collect()
-            });
-            for ((acc, agg), arg) in accs.iter_mut().zip(aggregates).zip(&arg_blocks) {
-                match step {
-                    AggregateStep::Single => match arg {
-                        None => acc.add_count(1),
-                        Some(block) => acc.add(&block.value(i)),
-                    },
-                    // Fig 2: merge connector-produced partials — counts sum,
-                    // sums sum, min/max re-compare.
-                    AggregateStep::FinalOverPartial => {
-                        let partial = arg
-                            .as_ref()
-                            .ok_or_else(|| {
-                                PrestoError::Internal(
-                                    "final aggregation needs partial columns".into(),
-                                )
-                            })?
-                            .value(i);
-                        match agg.function {
-                            AggregateFunction::Count | AggregateFunction::CountStar => {
-                                acc.add_count(partial.as_i64().unwrap_or(0));
-                            }
-                            _ => acc.add(&partial),
-                        }
-                    }
-                }
-            }
+        let rows = page.positions();
+        if rows == 0 {
+            continue;
         }
+        let inputs = aggregates
+            .iter()
+            .zip(&arg_blocks)
+            .map(|(a, arg)| aggregate_input(a, arg.as_ref(), step))
+            .collect::<Result<Vec<_>>>()?;
+        let added = if global {
+            accumulators.update(&inputs, None, rows);
+            let first = !global_seen;
+            global_seen = true;
+            usize::from(first)
+        } else {
+            let before = table.len();
+            table.insert(&RowKeys::new(&key_blocks, rows), false, &mut ids);
+            accumulators.resize(table.len());
+            accumulators.update(&inputs, Some(&ids), rows);
+            table.len() - before
+        };
         // coarse memory accounting on the hash table
-        if reserved > 0 {
-            table_memory.grow(reserved)?;
-            reserved = 0;
+        if added > 0 {
+            table_memory.grow(added * per_group)?;
         }
     }
 
-    // Global aggregation over zero rows still yields one output row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups
-            .insert(Vec::new(), aggregates.iter().map(|a| a.function.new_accumulator()).collect());
+    let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type.clone()).collect();
+    let (key_types, agg_types) = types.split_at(group_by.len());
+    let mut blocks = if global { Vec::new() } else { table.key_blocks(key_types)? };
+    for (a, data_type) in agg_types.iter().enumerate() {
+        blocks.push(accumulators.finish(a, data_type)?);
     }
-
-    // Materialize in sorted order: the hash table's iteration order varies
-    // run-to-run, and these rows feed operator row counts and (via the
-    // spill-concat path) downstream pages — every consumer must see the
-    // same sequence on every same-seed replay.
-    let mut rows: Vec<Vec<Value>> = groups
-        .into_iter()
-        .map(|(mut key, accs)| {
-            key.extend(accs.iter().map(Accumulator::finish));
-            key
-        })
-        .collect();
-    rows.sort_by(|a, b| cmp_rows(a, b));
-    Ok(rows)
+    let groups = if global { 1 } else { table.len() };
+    let page = if blocks.is_empty() { Page::zero_column(groups) } else { Page::new(blocks)? };
+    Ok(sort_groups(page, group_by.len()))
 }
 
-/// Total order over result rows: lexicographic by column `total_cmp`.
-fn cmp_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| x.total_cmp(y))
-        .find(|o| *o != std::cmp::Ordering::Equal)
-        .unwrap_or(std::cmp::Ordering::Equal)
+/// Order aggregate output by its leading `keys` group-key columns: group
+/// ids are handed out in first-seen order, and every consumer must see the
+/// same sequence on every same-seed replay, spilled or not.
+fn sort_groups(page: Page, keys: usize) -> Page {
+    if keys == 0 {
+        return page;
+    }
+    let order = kernels::sort_indices(
+        &RowKeys::new(&page.blocks()[..keys], page.positions()),
+        &vec![false; keys],
+    );
+    page.take(&order)
 }
 
 /// Grace aggregation: hash-partition the input on the group keys, spill each
@@ -345,12 +364,13 @@ fn cmp_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
 /// one partition's hash table instead of the whole table.
 fn spill_aggregate(
     pages: &[Page],
-    input_schema: &presto_common::Schema,
+    input_schema: &Schema,
     group_by: &[RowExpression],
     aggregates: &[AggregateExpr],
     step: AggregateStep,
+    schema: &Schema,
     ctx: &ExecutionContext,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Page> {
     let spill = spill_manager(ctx)?;
     let key_exprs: Vec<&RowExpression> = group_by.iter().collect();
     let parts = partition_pages(pages, &key_exprs, ctx)?;
@@ -363,28 +383,17 @@ fn spill_aggregate(
         });
     }
     drop(parts);
-    let mut rows = Vec::new();
+    let mut outputs = Vec::new();
     for file in files.into_iter().flatten() {
         let part_pages = spill.read(&file)?;
-        rows.extend(aggregate_rows(&part_pages, group_by, aggregates, step, ctx)?);
+        outputs.push(aggregate_pages(&part_pages, group_by, aggregates, step, schema, ctx)?);
         spill.remove(file)?;
     }
-    Ok(rows)
-}
-
-/// Sort the result rows deterministically and lay them out as pages.
-/// (`aggregate_rows` already sorts its own output; this re-sort makes the
-/// spill path deterministic too, where per-partition results concatenate.)
-fn emit_aggregate_rows(mut rows: Vec<Vec<Value>>, plan: &LogicalPlan) -> Result<Vec<Page>> {
-    rows.sort_by(|a, b| cmp_rows(a, b));
-
-    let schema = plan.output_schema()?;
-    let mut blocks = Vec::with_capacity(schema.len());
-    for (c, field) in schema.fields().iter().enumerate() {
-        let column: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
-        blocks.push(Block::from_values(&field.data_type, &column)?);
+    if outputs.is_empty() {
+        return aggregate_pages(&[], group_by, aggregates, step, schema, ctx);
     }
-    Ok(vec![if blocks.is_empty() { Page::zero_column(rows.len()) } else { Page::new(blocks)? }])
+    // partitions hold disjoint groups; merge them into one key order
+    Ok(sort_groups(Page::concat(&outputs)?, group_by.len()))
 }
 
 // -------------------------------------------------------------------- join
@@ -473,18 +482,23 @@ fn hash_join_pages(
     let mut build_memory =
         ctx.pool.reserve(build.memory_size(), ctx.operator_reservation_kind())?;
 
-    // Hash join on equi keys.
+    // Hash join on equi keys: one group per distinct non-NULL build key
+    // (SQL equi-join never matches NULL keys), its rows chained in
+    // ascending order.
     let build_keys =
         on.iter().map(|(_, r)| ctx.evaluator.evaluate(r, build)).collect::<Result<Vec<_>>>()?;
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for j in 0..build.positions() {
-        let key: Vec<Value> = build_keys.iter().map(|b| b.value(j)).collect();
-        if key.iter().any(Value::is_null) {
-            continue; // SQL equi-join never matches NULL keys
-        }
-        table.entry(key).or_default().push(j);
-    }
+    let mut table = GroupTable::new();
+    let mut ids = Vec::new();
+    table.insert(&RowKeys::new(&build_keys, build.positions()), true, &mut ids);
     build_memory.grow(table.len() * 48)?;
+    let mut head = vec![NO_GROUP; table.len()];
+    let mut next = vec![NO_GROUP; build.positions()];
+    for (j, &g) in ids.iter().enumerate().rev() {
+        if g != NO_GROUP {
+            next[j] = head[g as usize];
+            head[g as usize] = j as u32;
+        }
+    }
 
     let mut out = Vec::new();
     for probe in probe_pages {
@@ -494,14 +508,13 @@ fn hash_join_pages(
         // remembered separately so LEFT joins can null-extend them.
         let mut cand_probe = Vec::new();
         let mut cand_build = Vec::new();
-        for i in 0..probe.positions() {
-            let key: Vec<Value> = probe_keys.iter().map(|b| b.value(i)).collect();
-            let matches = if key.iter().any(Value::is_null) { None } else { table.get(&key) };
-            if let Some(rows) = matches {
-                for &j in rows {
-                    cand_probe.push(i);
-                    cand_build.push(j);
-                }
+        table.find(&RowKeys::new(&probe_keys, probe.positions()), &mut ids);
+        for (i, &g) in ids.iter().enumerate() {
+            let mut j = if g == NO_GROUP { NO_GROUP } else { head[g as usize] };
+            while j != NO_GROUP {
+                cand_probe.push(i);
+                cand_build.push(j as usize);
+                j = next[j as usize];
             }
         }
         // ON-clause residual filters *candidate pairs*, before outer-join
@@ -547,7 +560,7 @@ fn hash_join_pages(
 /// spilled, then each partition pair is joined independently — peak memory
 /// is one partition's build side instead of the whole build side.
 ///
-/// Probe rows with NULL keys go to partition 0 (see [`partition_of`]) so
+/// Probe rows with NULL keys go to partition 0 (see [`kernels::partitions`]) so
 /// LEFT joins still null-extend them; matching rows always share a
 /// partition because both sides hash the same key values.
 #[allow(clippy::too_many_arguments)]
@@ -557,8 +570,8 @@ fn grace_hash_join(
     kind: JoinKind,
     on: &[(RowExpression, RowExpression)],
     residual: Option<&RowExpression>,
-    probe_schema: &presto_common::Schema,
-    build_schema: &presto_common::Schema,
+    probe_schema: &Schema,
+    build_schema: &Schema,
     right_plan: &LogicalPlan,
     ctx: &ExecutionContext,
 ) -> Result<Vec<Page>> {
@@ -629,9 +642,9 @@ fn partition_pages(
             .map(|e| ctx.evaluator.evaluate(e, page))
             .collect::<Result<Vec<_>>>()?;
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); SPILL_PARTITIONS];
-        for i in 0..page.positions() {
-            let key: Vec<Value> = key_blocks.iter().map(|b| b.value(i)).collect();
-            buckets[partition_of(&key)].push(i);
+        let keys = RowKeys::new(&key_blocks, page.positions());
+        for (i, part) in kernels::partitions(&keys, SPILL_PARTITIONS).into_iter().enumerate() {
+            buckets[part].push(i);
         }
         for (part, indices) in parts.iter_mut().zip(&buckets) {
             if !indices.is_empty() {
@@ -642,20 +655,9 @@ fn partition_pages(
     Ok(parts)
 }
 
-/// Deterministic partition for a key. NULL-containing keys never hash-match
-/// anything, so they are parked together in partition 0.
-fn partition_of(key: &[Value]) -> usize {
-    if key.iter().any(Value::is_null) {
-        return 0;
-    }
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % SPILL_PARTITIONS
-}
-
 /// The input's schema if its pages can be spilled (parquet needs at least
 /// one column); `None` keeps the original reservation error.
-fn spillable_schema(plan: &LogicalPlan) -> Option<presto_common::Schema> {
+fn spillable_schema(plan: &LogicalPlan) -> Option<Schema> {
     match plan.output_schema() {
         Ok(schema) if !schema.is_empty() => Some(schema),
         _ => None,
@@ -786,47 +788,56 @@ fn execute_geo_join(
 
 // -------------------------------------------------------------------- sort
 
-fn sorted_indices(
+/// Sort (`count: None`) or TopN. Both hold their whole input under one
+/// reservation; when it does not fit and a spill manager is attached, the
+/// input is merge-sorted externally instead. In memory, TopN keeps a
+/// bounded heap of `count` rows and never concatenates its input.
+fn execute_sort(
     input: &LogicalPlan,
     keys: &[SortKey],
+    count: Option<usize>,
     ctx: &ExecutionContext,
     span: SpanId,
-) -> Result<(Option<Page>, Vec<usize>)> {
+) -> Result<Vec<Page>> {
     let pages = execute_traced(input, ctx, Some(span))?;
     if pages.is_empty() {
-        return Ok((None, Vec::new()));
+        return Ok(Vec::new());
     }
     let total: usize = pages.iter().map(|p| p.memory_size()).sum();
     let _sort_memory = match ctx.pool.reserve(total, ctx.operator_reservation_kind()) {
         Ok(reservation) => reservation,
         Err(e) if is_insufficient(&e) && ctx.spill.is_some() => {
-            return match spillable_schema(input) {
-                Some(schema) => {
-                    let sorted = external_sort(&pages, keys, &schema, ctx)?;
-                    let n = sorted.positions();
-                    // identity permutation: TopN truncates it as usual
-                    Ok((Some(sorted), (0..n).collect()))
-                }
-                None => Err(e),
+            let Some(schema) = spillable_schema(input) else {
+                return Err(e);
             };
+            let sorted = external_sort(&pages, keys, &schema, ctx)?;
+            let n = count.unwrap_or(usize::MAX).min(sorted.positions());
+            return Ok(vec![sorted.take(&(0..n).collect::<Vec<_>>())]);
         }
         Err(e) => return Err(e),
     };
-    let page = Page::concat(&pages)?;
-    let key_blocks =
-        keys.iter().map(|k| ctx.evaluator.evaluate(&k.expr, &page)).collect::<Result<Vec<_>>>()?;
-    let mut indices: Vec<usize> = (0..page.positions()).collect();
-    indices.sort_by(|&a, &b| {
-        for (block, key) in key_blocks.iter().zip(keys) {
-            let ord = block.value(a).total_cmp(&block.value(b));
-            let ord = if key.descending { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
+    let descending: Vec<bool> = keys.iter().map(|k| k.descending).collect();
+    let evaluate_keys = |page: &Page| {
+        keys.iter().map(|k| ctx.evaluator.evaluate(&k.expr, page)).collect::<Result<Vec<_>>>()
+    };
+    match count {
+        Some(count) => {
+            let key_blocks = pages.iter().map(evaluate_keys).collect::<Result<Vec<_>>>()?;
+            let row_keys: Vec<RowKeys> = key_blocks
+                .iter()
+                .zip(&pages)
+                .map(|(b, p)| RowKeys::new(b, p.positions()))
+                .collect();
+            Ok(vec![kernels::gather(&pages, &kernels::top_n(&row_keys, &descending, count))?])
         }
-        std::cmp::Ordering::Equal
-    });
-    Ok((Some(page), indices))
+        None => {
+            let page = Page::concat(&pages)?;
+            let key_blocks = evaluate_keys(&page)?;
+            let order =
+                kernels::sort_indices(&RowKeys::new(&key_blocks, page.positions()), &descending);
+            Ok(vec![page.take(&order)])
+        }
+    }
 }
 
 /// External merge sort: each input page becomes a spilled sorted run (only
@@ -836,10 +847,14 @@ fn sorted_indices(
 fn external_sort(
     pages: &[Page],
     keys: &[SortKey],
-    schema: &presto_common::Schema,
+    schema: &Schema,
     ctx: &ExecutionContext,
 ) -> Result<Page> {
     let spill = spill_manager(ctx)?;
+    let descending: Vec<bool> = keys.iter().map(|k| k.descending).collect();
+    let evaluate_keys = |page: &Page| {
+        keys.iter().map(|k| ctx.evaluator.evaluate(&k.expr, page)).collect::<Result<Vec<_>>>()
+    };
 
     // Phase 1: sorted runs. A page that alone exceeds the budget is halved
     // (recursively, in order — run order must stay the row order) until its
@@ -858,81 +873,47 @@ fn external_sort(
                 }
                 Err(e) => return Err(e),
             };
-        let key_blocks = keys
-            .iter()
-            .map(|k| ctx.evaluator.evaluate(&k.expr, &page))
-            .collect::<Result<Vec<_>>>()?;
-        let mut indices: Vec<usize> = (0..page.positions()).collect();
-        indices.sort_by(|&a, &b| {
-            for (block, key) in key_blocks.iter().zip(keys) {
-                let ord = block.value(a).total_cmp(&block.value(b));
-                let ord = if key.descending { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        run_files.push(spill.spill_pages(schema, &[page.take(&indices)])?);
+        let key_blocks = evaluate_keys(&page)?;
+        let order =
+            kernels::sort_indices(&RowKeys::new(&key_blocks, page.positions()), &descending);
+        run_files.push(spill.spill_pages(schema, &[page.take(&order)])?);
     }
 
-    // Phase 2: k-way merge.
-    struct Run {
-        rows: Vec<Vec<Value>>,
-        keys: Vec<Block>,
-        cursor: usize,
-    }
+    // Phase 2: k-way merge; equal keys go to the earlier run (stability).
     let mut runs = Vec::with_capacity(run_files.len());
     for file in &run_files {
-        let run_pages = spill.read(file)?;
-        let page = Page::concat(&run_pages)?;
-        let key_blocks = keys
-            .iter()
-            .map(|k| ctx.evaluator.evaluate(&k.expr, &page))
-            .collect::<Result<Vec<_>>>()?;
-        runs.push(Run { rows: page.rows(), keys: key_blocks, cursor: 0 });
+        runs.push(Page::concat(&spill.read(file)?)?);
     }
-    let run_less = |a: &Run, b: &Run| -> bool {
-        for (k, key) in keys.iter().enumerate() {
-            let ord = a.keys[k].value(a.cursor).total_cmp(&b.keys[k].value(b.cursor));
-            let ord = if key.descending { ord.reverse() } else { ord };
-            match ord {
-                std::cmp::Ordering::Less => return true,
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-        false // equal keys: the earlier run wins (stability)
-    };
-    let total_rows: usize = runs.iter().map(|r| r.rows.len()).sum();
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(total_rows);
+    let key_blocks = runs.iter().map(evaluate_keys).collect::<Result<Vec<_>>>()?;
+    let run_keys: Vec<RowKeys> =
+        key_blocks.iter().zip(&runs).map(|(b, p)| RowKeys::new(b, p.positions())).collect();
+    let mut cursors = vec![0usize; runs.len()];
+    let total_rows: usize = runs.iter().map(Page::positions).sum();
+    let mut picks = Vec::with_capacity(total_rows);
     for _ in 0..total_rows {
-        let mut best = usize::MAX;
-        for r in 0..runs.len() {
-            if runs[r].cursor >= runs[r].rows.len() {
+        let mut best: Option<usize> = None;
+        for (r, keys) in run_keys.iter().enumerate() {
+            if cursors[r] >= keys.rows() {
                 continue;
             }
-            if best == usize::MAX || run_less(&runs[r], &runs[best]) {
-                best = r;
+            let wins = best.is_none_or(|b| {
+                keys.cmp(cursors[r], &run_keys[b], cursors[b], &descending) == Ordering::Less
+            });
+            if wins {
+                best = Some(r);
             }
         }
-        let run = &mut runs[best];
-        rows.push(run.rows[run.cursor].clone());
-        run.cursor += 1;
+        let Some(b) = best else { break };
+        picks.push((b, cursors[b]));
+        cursors[b] += 1;
     }
     for file in run_files {
         spill.remove(file)?;
     }
-
-    let mut blocks = Vec::with_capacity(schema.len());
-    for (c, field) in schema.fields().iter().enumerate() {
-        let column: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
-        blocks.push(Block::from_values(&field.data_type, &column)?);
-    }
-    Page::new(blocks)
+    kernels::gather(&runs, &picks)
 }
 
-fn empty_page(schema: &presto_common::Schema) -> Result<Page> {
+fn empty_page(schema: &Schema) -> Result<Page> {
     let blocks: Vec<Block> = schema
         .fields()
         .iter()

@@ -17,6 +17,7 @@
 pub mod context;
 pub mod exchange;
 pub mod executor;
+pub mod kernels;
 
 pub use context::ExecutionContext;
 pub use executor::execute;

@@ -78,6 +78,8 @@ pub struct ReadOptions {
     pub lazy_reads: bool,
     /// §V.I: batched decoding.
     pub vectorized: bool,
+    /// Stop decoding row groups once this many rows survived the predicate.
+    pub limit: Option<usize>,
 }
 
 impl ReadOptions {
@@ -90,6 +92,7 @@ impl ReadOptions {
             dictionary_pushdown: true,
             lazy_reads: true,
             vectorized: true,
+            limit: None,
         }
     }
 
@@ -220,7 +223,11 @@ pub fn read(
     }
 
     let mut pages = Vec::new();
+    let mut produced = 0usize;
     'groups: for rg in &meta.row_groups {
+        if options.limit.is_some_and(|limit| produced >= limit) {
+            break;
+        }
         // ---- Fig 7: statistics-based row group skipping
         if options.stats_pushdown {
             for (leaf_idx, conjunct) in &predicate_leaves {
@@ -304,6 +311,7 @@ pub fn read(
                 }
             }
         }
+        produced += kept;
         pages.push(if blocks.is_empty() { Page::zero_column(kept) } else { Page::new(blocks)? });
     }
     Ok((pages, stats))

@@ -70,7 +70,7 @@ pub fn optimize(
     if config.projection_pushdown {
         // Normalize: every Aggregate / Sort-free consumer of raw columns
         // gets an explicit Project naming exactly the accesses it uses...
-        plan = transform_up(plan, &project_below_aggregate)?;
+        plan = transform_up(plan, &|p| project_below_aggregate(p, catalogs))?;
         // ...then projections sink through joins toward the scans (a few
         // fixpoint rounds cover left-deep multi-join trees)...
         for _ in 0..4 {
@@ -670,9 +670,11 @@ fn is_identity_access_list(accesses: &[RowExpression], width: usize) -> bool {
 
 /// Insert an explicit Project naming the accesses an Aggregate uses, so the
 /// scan-pruning rule can see them (turns `Aggregate → Scan` into
-/// `Aggregate → Project → Scan`).
-fn project_below_aggregate(plan: LogicalPlan) -> Result<LogicalPlan> {
-    let LogicalPlan::Aggregate { input, group_by, aggregates, step } = plan else {
+/// `Aggregate → Project → Scan`). A global aggregate reading no column at
+/// all (`count(*)`) directly over a projecting scan needs only row counts:
+/// its scan's columns are cleared in place, adding no operator.
+fn project_below_aggregate(plan: LogicalPlan, catalogs: &CatalogRegistry) -> Result<LogicalPlan> {
+    let LogicalPlan::Aggregate { mut input, group_by, aggregates, step } = plan else {
         return Ok(plan);
     };
     if matches!(*input, LogicalPlan::Project { .. }) || step != AggregateStep::Single {
@@ -686,6 +688,15 @@ fn project_below_aggregate(plan: LogicalPlan) -> Result<LogicalPlan> {
     for a in &aggregates {
         if let Some(arg) = &a.argument {
             collect_access_exprs(arg, &mut accesses);
+        }
+    }
+    let reads_nothing = group_by.is_empty() && aggregates.iter().all(|a| a.argument.is_none());
+    if let LogicalPlan::TableScan { catalog, request, .. } = input.as_mut() {
+        if reads_nothing
+            && request.aggregation.is_none()
+            && catalogs.get(catalog)?.capabilities().projection
+        {
+            request.columns.clear();
         }
     }
     if accesses.is_empty() || is_identity_access_list(&accesses, width) {
@@ -1434,6 +1445,49 @@ mod tests {
             panic!("expected scan");
         };
         assert!(request.aggregation.is_none());
+    }
+
+    #[test]
+    fn count_star_clears_scan_columns_in_place() {
+        let count = |argument: Option<RowExpression>| LogicalPlan::Aggregate {
+            input: Box::new(trips_scan()),
+            group_by: vec![],
+            aggregates: vec![AggregateExpr {
+                function: if argument.is_some() {
+                    AggregateFunction::Count
+                } else {
+                    AggregateFunction::CountStar
+                },
+                argument,
+                name: "cnt".into(),
+            }],
+            step: AggregateStep::Single,
+        };
+        let scan_columns = |plan: LogicalPlan| {
+            let optimized =
+                optimize(plan, &catalogs(), &evaluator(), &OptimizerConfig::default()).unwrap();
+            let LogicalPlan::Aggregate { input, .. } = optimized else {
+                panic!("expected aggregate");
+            };
+            match *input {
+                LogicalPlan::TableScan { request, .. } => Some(request.columns),
+                _ => None,
+            }
+        };
+        // count(*) reads no column, and no Project node is inserted
+        assert_eq!(scan_columns(count(None)), Some(vec![]));
+        // count(fare) still reads fare
+        let fare = RowExpression::column("fare", 2, DataType::Double);
+        let plan = count(Some(fare));
+        let optimized =
+            optimize(plan, &catalogs(), &evaluator(), &OptimizerConfig::default()).unwrap();
+        fn find_scan(p: &LogicalPlan) -> Option<&ScanRequest> {
+            match p {
+                LogicalPlan::TableScan { request, .. } => Some(request),
+                _ => p.children().into_iter().find_map(find_scan),
+            }
+        }
+        assert_eq!(find_scan(&optimized).unwrap().columns, vec![ColumnPath::whole("fare")]);
     }
 
     #[test]
